@@ -484,6 +484,80 @@ func TestLowerStaticErrors(t *testing.T) {
 			},
 		},
 		{
+			name: "unexpected-control-kind",
+			model: func() *uml.Model {
+				b := builder.New("midinit")
+				d := b.Diagram("main")
+				d.Initial()
+				d.Action("A").Cost("1")
+				d.Chain("initial", "A", "initial")
+				return builder.MustBuild(b)
+			},
+		},
+		{
+			name: "unguarded-arm",
+			model: func() *uml.Model {
+				b := builder.New("unguarded")
+				d := b.Diagram("main")
+				d.Initial()
+				d.Decision("pick")
+				d.Action("A").Cost("1")
+				d.Action("B").Cost("2")
+				d.Merge("m")
+				d.Final()
+				d.Flow("initial", "pick").FlowIf("pick", "A", "0 > 1").Flow("pick", "B").
+					Flow("A", "m").Flow("B", "m").Flow("m", "final")
+				return builder.MustBuild(b)
+			},
+		},
+		{
+			name: "mixed-weighted-and-guarded",
+			model: func() *uml.Model {
+				b := builder.New("mixed")
+				d := b.Diagram("main")
+				d.Initial()
+				d.Decision("pick")
+				d.Action("A").Cost("1")
+				d.Action("B").Cost("2")
+				d.Merge("m")
+				d.Final()
+				d.Flow("initial", "pick").FlowWeighted("pick", "A", 1).FlowIf("pick", "B", "1 > 0").
+					Flow("A", "m").Flow("B", "m").Flow("m", "final")
+				return builder.MustBuild(b)
+			},
+		},
+		{
+			name: "only-else-arm",
+			model: func() *uml.Model {
+				b := builder.New("onlyelse")
+				d := b.Diagram("main")
+				d.Initial()
+				d.Decision("pick")
+				d.Action("A").Cost("1")
+				d.Final()
+				d.Flow("initial", "pick").FlowIf("pick", "A", "else").Flow("A", "final")
+				return builder.MustBuild(b)
+			},
+		},
+		{
+			name: "two-else-arms-last-wins",
+			model: func() *uml.Model {
+				b := builder.New("twoelse")
+				d := b.Diagram("main")
+				d.Initial()
+				d.Decision("pick")
+				d.Action("A").Cost("1")
+				d.Action("B").Cost("2")
+				d.Action("C").Cost("4")
+				d.Merge("m")
+				d.Final()
+				d.Flow("initial", "pick").FlowIf("pick", "A", "0 > 1").
+					FlowIf("pick", "B", "else").FlowIf("pick", "C", "else").
+					Flow("A", "m").Flow("B", "m").Flow("C", "m").Flow("m", "final")
+				return builder.MustBuild(b)
+			},
+		},
+		{
 			name: "unreached-defect-stays-silent",
 			model: func() *uml.Model {
 				b := builder.New("dormant")
