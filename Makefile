@@ -97,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPipeline -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzLoweredEquivalence -fuzztime=5s ./internal/lower/
 	$(GO) test -fuzz=FuzzAnalyticAgreement -fuzztime=5s ./internal/analytic/
+	$(GO) test -fuzz=FuzzFlowView -fuzztime=5s ./internal/uml/
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt conformance-report.json

@@ -211,9 +211,8 @@ type walker struct {
 	// exprs/dists memoize compilation per distinct source string.
 	exprs map[string]*expr.Compiled
 	dists map[string]*expr.Dist
-	// flowIdx caches one dense flow index per diagram for convergence
-	// queries (fork joins and weighted-branch merges).
-	flowIdx map[*uml.Diagram]*uml.FlowIndex
+	// flows holds each diagram's derived flow structure.
+	flows uml.Flows
 	// profiles memoizes one read/write summary per diagram for the
 	// loop-invariance collapse; fnVars is the lazy union of free
 	// variables over every model-defined function body.
@@ -369,18 +368,6 @@ func (w *walker) parseDist(src string) (*expr.Dist, bool) {
 	return d, ok
 }
 
-func (w *walker) convergence(d *uml.Diagram, heads []string) uml.Node {
-	if w.flowIdx == nil {
-		w.flowIdx = map[*uml.Diagram]*uml.FlowIndex{}
-	}
-	ix, ok := w.flowIdx[d]
-	if !ok {
-		ix = uml.NewFlowIndex(d)
-		w.flowIdx[d] = ix
-	}
-	return ix.Convergence(heads)
-}
-
 func (w *walker) assign(name string, val float64) error {
 	if w.frozen > 0 {
 		return fmt.Errorf("analytic: assignment to %q inside a weighted branch is not closed-form", name)
@@ -401,134 +388,102 @@ func (w *walker) step(n uml.Node) error {
 	return nil
 }
 
+// flowError words a structural flow defect. Analytic reports an
+// unguarded arm as a mix of weighted and guarded arms.
+func flowError(def uml.Defect) error {
+	switch def.Kind {
+	case uml.DefectUnguardedArm:
+		def.Kind = uml.DefectMixedArms
+	case uml.DefectDanglingArm:
+		return fmt.Errorf("analytic: diagram %q: dangling decision edge", def.Diagram.Name())
+	}
+	return fmt.Errorf("analytic: %v", def)
+}
+
 // walkDiagram evaluates a diagram from its initial node and returns the
 // time moments it consumes. Empty diagrams take no time.
 func (w *walker) walkDiagram(d *uml.Diagram) (moments, error) {
-	ini := d.Initial()
-	if ini == nil {
-		if len(d.Nodes()) == 0 {
-			return moments{}, nil
-		}
-		return moments{}, fmt.Errorf("analytic: diagram %q has no initial node", d.Name())
+	v := w.flows.View(d)
+	start, def := v.Start()
+	if def != nil {
+		return moments{}, flowError(*def)
 	}
-	next, err := w.successor(d, ini)
-	if err != nil {
-		return moments{}, err
-	}
-	return w.walkSeq(d, next, nil)
+	return w.walkSeq(v, start, nil)
 }
 
 // walkSeq accumulates moments from cur until a final node or stop
 // (exclusive).
-func (w *walker) walkSeq(d *uml.Diagram, cur uml.Node, stop uml.Node) (moments, error) {
+func (w *walker) walkSeq(v *uml.FlowView, cur uml.Node, stop uml.Node) (moments, error) {
 	var total moments
-	for cur != nil {
-		if stop != nil && cur.ID() == stop.ID() {
-			return total, nil
-		}
+	for cur != nil && cur != stop {
+		var dt moments
+		var def *uml.Defect
 		var err error
-		switch n := cur.(type) {
-		case *uml.ControlNode:
-			switch n.Kind() {
-			case uml.KindFinal:
-				return total, nil
-			case uml.KindMerge, uml.KindJoin:
-				cur, err = w.successor(d, n)
-			case uml.KindDecision:
-				var dt moments
-				dt, cur, err = w.branch(d, n)
-				total.add(dt)
-			case uml.KindFork:
-				var dt moments
-				dt, cur, err = w.fork(d, n)
-				total.add(dt)
-			default:
-				return moments{}, fmt.Errorf("analytic: diagram %q: unexpected %v mid-flow", d.Name(), n.Kind())
+		switch cur.Kind() {
+		case uml.KindFinal:
+			return total, nil
+		case uml.KindMerge, uml.KindJoin:
+			cur, def = v.Successor(cur)
+		case uml.KindDecision:
+			dt, cur, err = w.branch(v, cur)
+		case uml.KindFork:
+			dt, cur, err = w.fork(v, cur)
+		case uml.KindAction, uml.KindActivity, uml.KindLoop:
+			if err = w.step(cur); err != nil {
+				break
 			}
-		case *uml.ActionNode:
-			if err := w.step(n); err != nil {
-				return moments{}, err
+			switch n := cur.(type) {
+			case *uml.ActionNode:
+				dt, err = w.action(n)
+			case *uml.ActivityNode:
+				dt, err = w.activity(n)
+			case *uml.LoopNode:
+				dt, err = w.loop(n)
 			}
-			dt, aerr := w.action(n)
-			if aerr != nil {
-				return moments{}, aerr
+			if err == nil {
+				cur, def = v.Successor(cur)
 			}
-			total.add(dt)
-			cur, err = w.successor(d, n)
-		case *uml.ActivityNode:
-			if err := w.step(n); err != nil {
-				return moments{}, err
-			}
-			dt, aerr := w.activity(n)
-			if aerr != nil {
-				return moments{}, aerr
-			}
-			total.add(dt)
-			cur, err = w.successor(d, n)
-		case *uml.LoopNode:
-			if err := w.step(n); err != nil {
-				return moments{}, err
-			}
-			dt, lerr := w.loop(n)
-			if lerr != nil {
-				return moments{}, lerr
-			}
-			total.add(dt)
-			cur, err = w.successor(d, n)
 		default:
-			return moments{}, fmt.Errorf("analytic: unknown node type %T", cur)
+			def = v.Defect(uml.DefectControl, cur)
+		}
+		if def != nil {
+			err = flowError(*def)
 		}
 		if err != nil {
 			return moments{}, err
 		}
+		total.add(dt)
 	}
 	return total, nil
 }
 
-func (w *walker) successor(d *uml.Diagram, n uml.Node) (uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	switch len(out) {
-	case 0:
-		return nil, nil
-	case 1:
-		next := d.Node(out[0].To())
-		if next == nil {
-			return nil, fmt.Errorf("analytic: diagram %q: dangling edge from %q", d.Name(), n.Name())
-		}
-		return next, nil
-	}
-	return nil, fmt.Errorf("analytic: diagram %q: %v %q has %d successors", d.Name(), n.Kind(), n.Name(), len(out))
-}
-
 // branch evaluates a decision. A guarded decision follows the first true
-// guard in edge order, falling back to the else edge — the generated
-// if/else-if chain — contributing no time itself. A weighted decision
-// becomes a closed-form probability mixture over its branches.
-func (w *walker) branch(d *uml.Diagram, n *uml.ControlNode) (moments, uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	if len(out) > 0 && out[0].Guard == "" && out[0].Weight > 0 {
-		dt, next, err := w.weighted(d, n, out)
-		return dt, next, err
+// guard in edge order, falling back to the (last) else edge — the
+// generated if/else-if chain — contributing no time itself. A weighted
+// decision becomes a closed-form probability mixture over its branches.
+func (w *walker) branch(v *uml.FlowView, n uml.Node) (moments, uml.Node, error) {
+	dec := v.Decision(n)
+	d := v.Diagram()
+	if dec.Defect == uml.DefectMixedArms {
+		return moments{}, nil, flowError(*v.Defect(dec.Defect, n))
 	}
-	var elseEdge *uml.Edge
-	for _, e := range out {
-		if e.IsElse() {
-			elseEdge = e
-			continue
-		}
-		if e.Guard == "" {
-			return moments{}, nil, fmt.Errorf("analytic: diagram %q: decision %q mixes weighted and guarded branches", d.Name(), n.Name())
-		}
-		v, err := w.evalSrc(e.Guard)
+	if dec.Weighted {
+		return w.weighted(v, n, dec)
+	}
+	for _, e := range dec.Arms {
+		g, err := w.evalSrc(e.Guard)
 		if err != nil {
 			return moments{}, nil, fmt.Errorf("analytic: guard %q: %w", e.Guard, err)
 		}
-		if expr.Truthy(v) {
+		if expr.Truthy(g) {
 			return moments{}, d.Node(e.To()), nil
 		}
 	}
-	if elseEdge != nil {
-		return moments{}, d.Node(elseEdge.To()), nil
+	switch {
+	case dec.Defect == uml.DefectUnguardedArm:
+		return moments{}, nil, flowError(*v.Defect(dec.Defect, n))
+	case len(dec.Else) > 0:
+		return moments{}, d.Node(dec.Else[len(dec.Else)-1].To()), nil
 	}
 	return moments{}, nil, fmt.Errorf("analytic: diagram %q: no guard of decision %q is true and there is no else branch", d.Name(), n.Name())
 }
@@ -539,38 +494,25 @@ func (w *walker) branch(d *uml.Diagram, n *uml.ControlNode) (moments, uml.Node, 
 // must not mutate model state (assignments are frozen), so the walk
 // continues from the convergence in a state independent of the branch
 // taken.
-func (w *walker) weighted(d *uml.Diagram, n *uml.ControlNode, out []*uml.Edge) (moments, uml.Node, error) {
-	var totalW float64
-	for _, e := range out {
-		if e.Guard != "" || e.Weight <= 0 {
-			return moments{}, nil, fmt.Errorf("analytic: diagram %q: decision %q mixes weighted and guarded branches", d.Name(), n.Name())
-		}
-		totalW += e.Weight
-	}
+func (w *walker) weighted(v *uml.FlowView, n uml.Node, dec *uml.Decision) (moments, uml.Node, error) {
 	w.stochastic = true
-	heads := make([]string, len(out))
-	for i, e := range out {
-		heads[i] = e.To()
-	}
-	conv := w.convergence(d, heads)
+	conv := v.Convergence(n)
 	var mean, e2 float64
 	w.frozen++
-	for _, e := range out {
-		head := d.Node(e.To())
+	defer func() { w.frozen-- }()
+	for _, e := range dec.Arms {
+		head := v.Diagram().Node(e.To())
 		if head == nil {
-			w.frozen--
-			return moments{}, nil, fmt.Errorf("analytic: diagram %q: dangling decision edge", d.Name())
+			return moments{}, nil, flowError(*v.Defect(uml.DefectDanglingArm, n))
 		}
-		bm, err := w.walkSeq(d, head, conv)
+		bm, err := w.walkSeq(v, head, conv)
 		if err != nil {
-			w.frozen--
 			return moments{}, nil, err
 		}
-		p := e.Weight / totalW
+		p := e.Weight / dec.Total
 		mean += p * bm.mean
 		e2 += p * (bm.varv + bm.mean*bm.mean)
 	}
-	w.frozen--
 	varv := e2 - mean*mean
 	if varv < 0 {
 		varv = 0
@@ -582,33 +524,27 @@ func (w *walker) weighted(d *uml.Diagram, n *uml.ControlNode, out []*uml.Edge) (
 // branch moments: on a single processor the parallel branches serialize,
 // so elapsed time at the join equals the total compute regardless of
 // interleaving. Returns the node to continue from after the convergence.
-func (w *walker) fork(d *uml.Diagram, n *uml.ControlNode) (moments, uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	if len(out) < 2 {
-		return moments{}, nil, fmt.Errorf("analytic: diagram %q: fork %q has %d branch(es)", d.Name(), n.Name(), len(out))
+func (w *walker) fork(v *uml.FlowView, n uml.Node) (moments, uml.Node, error) {
+	heads, def := v.Fork(n)
+	if def != nil && def.Kind == uml.DefectForkBranches {
+		return moments{}, nil, flowError(*def)
 	}
-	heads := make([]string, len(out))
-	for i, e := range out {
-		heads[i] = e.To()
-	}
-	conv := w.convergence(d, heads)
+	conv := v.Convergence(n)
 	var total moments
-	for _, e := range out {
-		head := d.Node(e.To())
-		if head == nil {
-			return moments{}, nil, fmt.Errorf("analytic: diagram %q: dangling fork edge", d.Name())
-		}
-		dt, err := w.walkSeq(d, head, conv)
+	for _, h := range heads {
+		dt, err := w.walkSeq(v, h, conv)
 		if err != nil {
 			return moments{}, nil, err
 		}
 		total.add(dt)
 	}
-	if conv != nil && conv.Kind() == uml.KindJoin {
-		next, err := w.successor(d, conv)
-		return total, next, err
+	if def == nil {
+		var next uml.Node
+		if next, def = v.After(n); def == nil {
+			return total, next, nil
+		}
 	}
-	return total, conv, nil
+	return moments{}, nil, flowError(*def)
 }
 
 // action applies the element's code fragment, then charges its cost.

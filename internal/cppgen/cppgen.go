@@ -245,37 +245,34 @@ func (g *Generator) emitDeclarations(w *writer, m *uml.Model, perf []uml.Element
 // class ActionPlus"). The second result reports whether the element is
 // declared as an object at all.
 func (g *Generator) elementClass(e uml.Element) (string, bool, error) {
-	switch e.Stereotype() {
-	case profile.ActionPlus:
-		return "ActionPlus", true, nil
-	case profile.ActivityPlus:
+	class, ok := cppClasses[e.Stereotype()]
+	if !ok {
+		return "", false, fmt.Errorf("cppgen: element %q: no C++ mapping for stereotype <<%s>>",
+			e.Name(), e.Stereotype())
+	}
+	if e.Stereotype() == profile.ActivityPlus {
 		// An activity is structural; it is declared only when it carries
 		// an aggregate cost function of its own.
-		if a, ok := e.(*uml.ActivityNode); ok && a.CostFunc != "" {
-			return "ActivityPlus", true, nil
-		}
-		return "ActivityPlus", false, nil
-	case profile.LoopPlus:
-		return "", false, nil
-	case profile.MPISend:
-		return "MpiSend", true, nil
-	case profile.MPIRecv:
-		return "MpiRecv", true, nil
-	case profile.MPISendrecv:
-		return "MpiSendrecv", true, nil
-	case profile.MPIBarrier:
-		return "MpiBarrier", true, nil
-	case profile.MPIBroadcast:
-		return "MpiBcast", true, nil
-	case profile.MPIReduce:
-		return "MpiReduce", true, nil
-	case profile.OMPParallel:
-		return "", false, nil
-	case profile.OMPCritical:
-		return "OmpCritical", true, nil
+		a, ok := e.(*uml.ActivityNode)
+		return class, ok && a.CostFunc != "", nil
 	}
-	return "", false, fmt.Errorf("cppgen: element %q: no C++ mapping for stereotype <<%s>>",
-		e.Name(), e.Stereotype())
+	return class, class != "", nil
+}
+
+// cppClasses maps each stereotype to its runtime class; structural
+// stereotypes, whose C++ form is control flow, map to "".
+var cppClasses = map[string]string{
+	profile.ActionPlus:   "ActionPlus",
+	profile.ActivityPlus: "ActivityPlus",
+	profile.LoopPlus:     "",
+	profile.MPISend:      "MpiSend",
+	profile.MPIRecv:      "MpiRecv",
+	profile.MPISendrecv:  "MpiSendrecv",
+	profile.MPIBarrier:   "MpiBarrier",
+	profile.MPIBroadcast: "MpiBcast",
+	profile.MPIReduce:    "MpiReduce",
+	profile.OMPParallel:  "",
+	profile.OMPCritical:  "OmpCritical",
 }
 
 // writer accumulates indented source text.

@@ -14,130 +14,46 @@ import (
 // statements (paper, Figure 8b) and the content of activities and loops is
 // nested in place.
 func (g *Generator) emitFlow(w *writer, m *uml.Model, names map[string]string) error {
-	main := m.Main()
-	if main == nil {
-		w.line("// -- Execution flow --")
+	w.line("// -- Execution flow --")
+	if m.Main() == nil {
 		return nil
 	}
-	f := &flowEmitter{gen: g, model: m, names: names, w: w}
-	w.line("// -- Execution flow --")
-	return f.emitDiagram(main)
+	f := &flowEmitter{model: m, names: names, w: w}
+	return f.emitDiagram(m.Main())
 }
 
-// flowEmitter carries the state of one flow walk.
+// flowEmitter carries the state of one flow walk. It renders the regions
+// that uml.Flows.WalkRegions visits as C++ statements.
 type flowEmitter struct {
-	gen   *Generator
 	model *uml.Model
 	names map[string]string
 	w     *writer
-	// flowIdx caches one dense flow index per diagram so every decision
-	// and fork convergence query is integer BFS, not a string-keyed
-	// re-walk (quadratic per diagram before).
-	flowIdx map[*uml.Diagram]*uml.FlowIndex
+	flows uml.Flows
 	// loopSeq numbers synthetic loop variables.
 	loopSeq int
-	// active guards against cyclic diagram nesting at emission time (the
-	// checker also rejects it, but the generator must not recurse forever
-	// on unchecked input).
-	active []string
 }
 
 // emitDiagram emits the statements of a whole diagram, from its initial
 // node to its final node(s).
-func (f *flowEmitter) emitDiagram(d *uml.Diagram) error {
-	for _, name := range f.active {
-		if name == d.Name() {
-			return fmt.Errorf("cppgen: cyclic activity nesting through diagram %q", d.Name())
-		}
-	}
-	f.active = append(f.active, d.Name())
-	defer func() { f.active = f.active[:len(f.active)-1] }()
+func (f *flowEmitter) emitDiagram(d *uml.Diagram) error { return f.flows.WalkRegions(d, f) }
 
-	ini := d.Initial()
-	if ini == nil {
-		if len(d.Nodes()) == 0 {
-			return nil
-		}
-		return fmt.Errorf("cppgen: diagram %q has no initial node", d.Name())
+// Element emits an action, activity or loop node.
+func (f *flowEmitter) Element(n uml.Node) error {
+	switch n := n.(type) {
+	case *uml.ActivityNode:
+		return f.emitActivity(n)
+	case *uml.LoopNode:
+		return f.emitLoop(n)
 	}
-	start, err := f.successor(d, ini)
-	if err != nil {
-		return err
-	}
-	return f.emitSeq(d, start, nil, map[string]bool{})
+	return f.emitAction(n.(*uml.ActionNode))
 }
 
-// emitSeq emits the statement sequence starting at cur and ending when the
-// walk reaches stop (exclusive) or a final node. onPath detects
-// unstructured cycles.
-func (f *flowEmitter) emitSeq(d *uml.Diagram, cur uml.Node, stop uml.Node, onPath map[string]bool) error {
-	for cur != nil {
-		if stop != nil && cur.ID() == stop.ID() {
-			return nil
-		}
-		if onPath[cur.ID()] {
-			return fmt.Errorf("cppgen: diagram %q: unstructured cycle through node %q; model loops with <<loop+>> elements",
-				d.Name(), cur.Name())
-		}
-		onPath[cur.ID()] = true
-
-		var err error
-		switch n := cur.(type) {
-		case *uml.ControlNode:
-			switch n.Kind() {
-			case uml.KindFinal:
-				return nil
-			case uml.KindMerge:
-				cur, err = f.successor(d, n)
-			case uml.KindDecision:
-				cur, err = f.emitDecision(d, n, onPath)
-			case uml.KindFork:
-				cur, err = f.emitFork(d, n, onPath)
-			case uml.KindJoin:
-				cur, err = f.successor(d, n)
-			default:
-				return fmt.Errorf("cppgen: diagram %q: unexpected %v mid-flow", d.Name(), n.Kind())
-			}
-		case *uml.ActionNode:
-			if err := f.emitAction(n); err != nil {
-				return err
-			}
-			cur, err = f.successor(d, n)
-		case *uml.ActivityNode:
-			if err := f.emitActivity(n); err != nil {
-				return err
-			}
-			cur, err = f.successor(d, n)
-		case *uml.LoopNode:
-			if err := f.emitLoop(n); err != nil {
-				return err
-			}
-			cur, err = f.successor(d, n)
-		default:
-			return fmt.Errorf("cppgen: unknown node type %T", cur)
-		}
-		if err != nil {
-			return err
-		}
+// Defect words a structural flow defect; a cycle gets modeling advice.
+func (f *flowEmitter) Defect(def uml.Defect) error {
+	if def.Kind == uml.DefectCycle {
+		return fmt.Errorf("cppgen: %v; model loops with <<loop+>> elements", def)
 	}
-	return nil
-}
-
-// successor returns the unique next node, or nil at the end of the flow.
-func (f *flowEmitter) successor(d *uml.Diagram, n uml.Node) (uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	switch len(out) {
-	case 0:
-		return nil, nil
-	case 1:
-		next := d.Node(out[0].To())
-		if next == nil {
-			return nil, fmt.Errorf("cppgen: diagram %q: dangling edge from %q", d.Name(), n.Name())
-		}
-		return next, nil
-	}
-	return nil, fmt.Errorf("cppgen: diagram %q: %v %q has %d successors",
-		d.Name(), n.Kind(), n.Name(), len(out))
+	return fmt.Errorf("cppgen: %v", def)
 }
 
 // emitAction emits one element execution: the associated code fragment
@@ -170,17 +86,6 @@ func (f *flowEmitter) emitAction(n *uml.ActionNode) error {
 // element. All variants start with the context triple (uid, pid, tid); the
 // remaining arguments depend on the stereotype.
 func (f *flowEmitter) executeArgs(n *uml.ActionNode) (string, error) {
-	renderTag := func(tag string) (string, error) {
-		raw, ok := n.Tag(tag)
-		if !ok {
-			return "", fmt.Errorf("cppgen: element %q: required tag %q unset", n.Name(), tag)
-		}
-		cpp, err := RenderExpr(raw)
-		if err != nil {
-			return "", fmt.Errorf("cppgen: element %q tag %q: %w", n.Name(), tag, err)
-		}
-		return cpp, nil
-	}
 	switch n.Stereotype() {
 	case profile.ActionPlus, profile.OMPCritical:
 		// The cost function wins; the `time` tagged value is the
@@ -200,50 +105,35 @@ func (f *flowEmitter) executeArgs(n *uml.ActionNode) (string, error) {
 			cost = c
 		}
 		return "uid, pid, tid, " + cost, nil
-	case profile.MPISend:
-		dest, err := renderTag(profile.TagDest)
-		if err != nil {
-			return "", err
-		}
-		size, err := renderTag(profile.TagSize)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("uid, pid, tid, /*dest*/ %s, /*size*/ %s", dest, size), nil
-	case profile.MPIRecv:
-		src, err := renderTag(profile.TagSrc)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("uid, pid, tid, /*src*/ %s", src), nil
-	case profile.MPISendrecv:
-		dest, err := renderTag(profile.TagDest)
-		if err != nil {
-			return "", err
-		}
-		src, err := renderTag(profile.TagSrc)
-		if err != nil {
-			return "", err
-		}
-		size, err := renderTag(profile.TagSize)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("uid, pid, tid, /*dest*/ %s, /*src*/ %s, /*size*/ %s", dest, src, size), nil
-	case profile.MPIBarrier:
-		return "uid, pid, tid", nil
-	case profile.MPIBroadcast, profile.MPIReduce:
-		root, err := renderTag(profile.TagRoot)
-		if err != nil {
-			return "", err
-		}
-		size, err := renderTag(profile.TagSize)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("uid, pid, tid, /*root*/ %s, /*size*/ %s", root, size), nil
 	}
-	return "", fmt.Errorf("cppgen: element %q: unsupported stereotype <<%s>>", n.Name(), n.Stereotype())
+	tags, ok := mpiTags[n.Stereotype()]
+	if !ok {
+		return "", fmt.Errorf("cppgen: element %q: unsupported stereotype <<%s>>", n.Name(), n.Stereotype())
+	}
+	args := "uid, pid, tid"
+	for _, tag := range tags {
+		raw, ok := n.Tag(tag)
+		if !ok {
+			return "", fmt.Errorf("cppgen: element %q: required tag %q unset", n.Name(), tag)
+		}
+		cpp, err := RenderExpr(raw)
+		if err != nil {
+			return "", fmt.Errorf("cppgen: element %q tag %q: %w", n.Name(), tag, err)
+		}
+		args += fmt.Sprintf(", /*%s*/ %s", tag, cpp)
+	}
+	return args, nil
+}
+
+// mpiTags lists, per communication stereotype, the tagged values its
+// execute() call passes after the context triple, in order.
+var mpiTags = map[string][]string{
+	profile.MPISend:      {profile.TagDest, profile.TagSize},
+	profile.MPIRecv:      {profile.TagSrc},
+	profile.MPISendrecv:  {profile.TagDest, profile.TagSrc, profile.TagSize},
+	profile.MPIBarrier:   nil,
+	profile.MPIBroadcast: {profile.TagRoot, profile.TagSize},
+	profile.MPIReduce:    {profile.TagRoot, profile.TagSize},
 }
 
 // emitActivity nests the activity's content in place (paper: "the C++ code
@@ -327,178 +217,91 @@ func (f *flowEmitter) emitLoop(n *uml.LoopNode) error {
 	return nil
 }
 
-// emitDecision maps a decision node's branches onto an if/else-if chain
-// (paper, Figure 8b lines 77-87) and returns the node where the branches
-// converge, from which the sequence continues. Probabilistic decisions
-// (weighted, unguarded branches) draw from the runtime's pmp_rand().
-func (f *flowEmitter) emitDecision(d *uml.Diagram, n *uml.ControlNode, onPath map[string]bool) (uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	if len(out) < 2 {
-		return nil, fmt.Errorf("cppgen: diagram %q: decision %q has %d branch(es)", d.Name(), n.Name(), len(out))
+// Decision maps a decision node's arms onto an if/else-if chain (paper,
+// Figure 8b lines 77-87). Probabilistic decisions (weighted, unguarded
+// arms) draw from the runtime's pmp_rand(). A second else arm is refused.
+func (f *flowEmitter) Decision(n uml.Node, dec *uml.Decision, arm func(*uml.Edge) error) error {
+	d := n.Diagram().Name()
+	if out := len(n.Diagram().Outgoing(n.ID())); out < 2 {
+		return fmt.Errorf("cppgen: diagram %q: decision %q has %d branch(es)", d, n.Name(), out)
 	}
-	if out[0].Guard == "" && out[0].Weight > 0 {
-		return f.emitWeightedDecision(d, n, out, onPath)
+	switch {
+	case dec.Defect == uml.DefectMixedArms:
+		return fmt.Errorf("cppgen: diagram %q: decision %q mixes weighted and guarded branches", d, n.Name())
+	case len(dec.Else) > 1:
+		return fmt.Errorf("cppgen: diagram %q: decision %q has two else branches", d, n.Name())
+	case dec.Defect == uml.DefectUnguardedArm:
+		return fmt.Errorf("cppgen: diagram %q: unguarded branch out of decision %q", d, n.Name())
+	case dec.Defect == uml.DefectNoGuardedArm:
+		return fmt.Errorf("cppgen: diagram %q: decision %q has only an else branch", d, n.Name())
 	}
-	// Guarded branches in model order; the else branch last.
-	var guarded []*uml.Edge
-	var elseEdge *uml.Edge
-	for _, e := range out {
-		if e.IsElse() {
-			if elseEdge != nil {
-				return nil, fmt.Errorf("cppgen: diagram %q: decision %q has two else branches", d.Name(), n.Name())
-			}
-			elseEdge = e
-			continue
-		}
-		if e.Guard == "" {
-			return nil, fmt.Errorf("cppgen: diagram %q: unguarded branch out of decision %q", d.Name(), n.Name())
-		}
-		guarded = append(guarded, e)
-	}
-	if len(guarded) == 0 {
-		return nil, fmt.Errorf("cppgen: diagram %q: decision %q has only an else branch", d.Name(), n.Name())
-	}
-
-	conv := f.convergenceOf(d, out)
-	emitBranch := func(head string) error {
-		node := d.Node(head)
-		if node == nil {
-			return fmt.Errorf("cppgen: diagram %q: dangling branch edge", d.Name())
-		}
+	branch := func(e *uml.Edge) error {
 		f.w.in()
-		// Branch-local path set: the same node may legally appear on
-		// several alternative branches.
-		branchPath := make(map[string]bool, len(onPath))
-		for id := range onPath {
-			branchPath[id] = true
-		}
-		err := f.emitSeq(d, node, conv, branchPath)
-		f.w.out()
-		return err
+		defer f.w.out()
+		return arm(e)
 	}
-
-	for i, e := range guarded {
+	if dec.Weighted {
+		// One draw, compared against the cumulative arm weights.
+		f.w.line("{")
+		f.w.in()
+		f.w.line("double pmp_r = pmp_rand() * %g; // weighted branch", dec.Total)
+		acc := 0.0
+		for i, e := range dec.Arms {
+			acc += e.Weight
+			switch {
+			case i == 0:
+				f.w.line("if (pmp_r < %g) {", acc)
+			case i == len(dec.Arms)-1:
+				f.w.line("} else {")
+			default:
+				f.w.line("} else if (pmp_r < %g) {", acc)
+			}
+			if err := branch(e); err != nil {
+				return err
+			}
+		}
+		f.w.line("}")
+		f.w.out()
+		f.w.line("}")
+		return nil
+	}
+	for i, e := range dec.Arms {
 		guard, err := RenderExpr(e.Guard)
 		if err != nil {
-			return nil, fmt.Errorf("cppgen: diagram %q: guard %q: %w", d.Name(), e.Guard, err)
+			return fmt.Errorf("cppgen: diagram %q: guard %q: %w", d, e.Guard, err)
 		}
 		if i == 0 {
 			f.w.line("if (%s) {", guard)
 		} else {
 			f.w.line("} else if (%s) {", guard)
 		}
-		if err := emitBranch(e.To()); err != nil {
-			return nil, err
+		if err := branch(e); err != nil {
+			return err
 		}
 	}
-	if elseEdge != nil {
+	if len(dec.Else) > 0 {
 		f.w.line("} else {")
-		if err := emitBranch(elseEdge.To()); err != nil {
-			return nil, err
+		if err := branch(dec.Else[0]); err != nil {
+			return err
 		}
 	}
 	f.w.line("}")
-	return conv, nil
+	return nil
 }
 
-// emitWeightedDecision renders a probabilistic branch: one draw from
-// pmp_rand(), compared against the cumulative branch probabilities.
-func (f *flowEmitter) emitWeightedDecision(d *uml.Diagram, n *uml.ControlNode, out []*uml.Edge, onPath map[string]bool) (uml.Node, error) {
-	var total float64
-	for _, e := range out {
-		if e.Guard != "" || e.Weight <= 0 {
-			return nil, fmt.Errorf("cppgen: diagram %q: decision %q mixes weighted and guarded branches",
-				d.Name(), n.Name())
-		}
-		total += e.Weight
-	}
-	conv := f.convergenceOf(d, out)
-	emitBranch := func(head string) error {
-		node := d.Node(head)
-		if node == nil {
-			return fmt.Errorf("cppgen: diagram %q: dangling branch edge", d.Name())
-		}
-		f.w.in()
-		branchPath := make(map[string]bool, len(onPath))
-		for id := range onPath {
-			branchPath[id] = true
-		}
-		err := f.emitSeq(d, node, conv, branchPath)
-		f.w.out()
-		return err
-	}
-	f.w.line("{")
-	f.w.in()
-	f.w.line("double pmp_r = pmp_rand() * %g; // weighted branch", total)
-	acc := 0.0
-	for i, e := range out {
-		acc += e.Weight
-		switch {
-		case i == 0:
-			f.w.line("if (pmp_r < %g) {", acc)
-		case i == len(out)-1:
-			f.w.line("} else {")
-		default:
-			f.w.line("} else if (pmp_r < %g) {", acc)
-		}
-		if err := emitBranch(e.To()); err != nil {
-			return nil, err
-		}
-	}
-	f.w.line("}")
-	f.w.out()
-	f.w.line("}")
-	return conv, nil
-}
-
-// emitFork emits a fork/join parallel section; each outgoing branch is a
-// parallel activity that runs until the common join node.
-func (f *flowEmitter) emitFork(d *uml.Diagram, n *uml.ControlNode, onPath map[string]bool) (uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	if len(out) < 2 {
-		return nil, fmt.Errorf("cppgen: diagram %q: fork %q has %d branch(es)", d.Name(), n.Name(), len(out))
-	}
-	conv := f.convergenceOf(d, out)
+// Fork emits a fork/join parallel section; each branch is a parallel
+// activity that runs until the common join node.
+func (f *flowEmitter) Fork(n uml.Node, heads []uml.Node, branch func(uml.Node) error) error {
 	f.w.line("PAR_BEGIN // fork")
-	for _, e := range out {
-		node := d.Node(e.To())
-		if node == nil {
-			return nil, fmt.Errorf("cppgen: diagram %q: dangling fork edge", d.Name())
-		}
+	for _, h := range heads {
 		f.w.line("PAR_BRANCH {")
 		f.w.in()
-		branchPath := make(map[string]bool, len(onPath))
-		for id := range onPath {
-			branchPath[id] = true
-		}
-		if err := f.emitSeq(d, node, conv, branchPath); err != nil {
-			return nil, err
+		if err := branch(h); err != nil {
+			return err
 		}
 		f.w.out()
 		f.w.line("}")
 	}
 	f.w.line("PAR_END // join")
-	// Skip past the join node itself.
-	if conv != nil && conv.Kind() == uml.KindJoin {
-		return f.successor(d, conv)
-	}
-	return conv, nil
-}
-
-// convergenceOf finds where the branches out of a decision or fork meet
-// again (nil when they all run to final nodes without converging).
-func (f *flowEmitter) convergenceOf(d *uml.Diagram, branches []*uml.Edge) uml.Node {
-	if f.flowIdx == nil {
-		f.flowIdx = map[*uml.Diagram]*uml.FlowIndex{}
-	}
-	ix, ok := f.flowIdx[d]
-	if !ok {
-		ix = uml.NewFlowIndex(d)
-		f.flowIdx[d] = ix
-	}
-	heads := make([]string, len(branches))
-	for i, e := range branches {
-		heads[i] = e.To()
-	}
-	return ix.Convergence(heads)
+	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"prophet/internal/checker"
 	"prophet/internal/interp"
@@ -256,29 +257,51 @@ func (e *Estimator) Compile(m *uml.Model) (*interp.Program, error) {
 }
 
 // compileCtx checks then compiles the model, recording "check" and
-// "compile" spans into the trace riding ctx (no-ops without one).
+// "compile" spans into the trace riding ctx (no-ops without one) and
+// their latencies into the SetMetrics registry's estimate_stage_seconds.
 // cacheAttr, when non-empty, annotates the compile span's cache outcome.
 func (e *Estimator) compileCtx(ctx context.Context, m *uml.Model, cacheAttr string) (*interp.Program, error) {
+	start := time.Now()
 	_, sp := obs.StartSpan(ctx, "check")
 	rep := e.checker.Check(m)
 	sp.End()
+	e.observeStage("check", start)
 	if rep.HasErrors() {
 		return nil, &CheckError{Model: m.Name(), Report: rep}
 	}
+	start = time.Now()
 	_, sp = obs.StartSpan(ctx, "compile")
 	pr, err := interp.Compile(m, e.registry)
 	if cacheAttr != "" {
 		sp.Annotate("cache", cacheAttr)
 	}
 	sp.End()
+	e.observeStage("compile", start)
 	if err != nil {
 		return nil, fmt.Errorf("estimator: %w", err)
 	}
 	return pr, nil
 }
 
+// observeStage publishes the latency of a stage that began at start into
+// the SetMetrics registry, as finish does for a request's own registry.
+func (e *Estimator) observeStage(name string, start time.Time) {
+	e.progMu.Lock()
+	reg := e.metrics
+	e.progMu.Unlock()
+	if reg != nil {
+		d := time.Since(start).Seconds()
+		reg.HistogramVec("estimate_stage_seconds", stageBuckets, "stage").With(name).Observe(d)
+		reg.GaugeVec("estimate_stage_last_seconds", "stage").With(name).Set(d)
+	}
+}
+
+// stageBuckets are the estimate_stage_seconds histogram bounds.
+var stageBuckets = []float64{1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
+
 // SetMetrics installs a registry that receives the estimator's cache
-// counters (estimator_cache_hits_total, estimator_cache_misses_total).
+// counters (estimator_cache_hits_total, estimator_cache_misses_total)
+// and the latencies of the check and compile stages CompileCached runs.
 // Call it once, before the estimator is used concurrently.
 func (e *Estimator) SetMetrics(reg *obs.Registry) {
 	e.progMu.Lock()
@@ -512,8 +535,7 @@ func (e *Estimator) finish(req Request, est *Estimate, rec *obs.SpanRecorder, si
 	}
 	reg.Counter("estimator_runs_total").Inc()
 	reg.Gauge("estimate_makespan_seconds").Set(est.Makespan)
-	stageHist := reg.HistogramVec("estimate_stage_seconds",
-		[]float64{1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}, "stage")
+	stageHist := reg.HistogramVec("estimate_stage_seconds", stageBuckets, "stage")
 	stageGauge := reg.GaugeVec("estimate_stage_last_seconds", "stage")
 	for _, s := range est.Stages {
 		stageHist.With(s.Name).Observe(s.Seconds)

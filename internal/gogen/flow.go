@@ -8,195 +8,77 @@ import (
 	"prophet/internal/uml"
 )
 
-// goFlow walks a diagram and emits Go control flow, mirroring the C++
-// generator's structured walk.
+// goFlow renders the regions that uml.Flows.WalkRegions visits as Go
+// control flow, mirroring the C++ generator's structured walk.
 type goFlow struct {
-	gen     *Generator
 	model   *uml.Model
 	w       *goWriter
+	flows   uml.Flows
 	indent  int
 	loopSeq int
 	wgSeq   int
-	active  []string
-	// flowIdx caches one dense flow index per diagram for convergence
-	// queries (see uml.FlowIndex).
-	flowIdx map[*uml.Diagram]*uml.FlowIndex
-}
-
-// convergence answers a convergence query through the per-diagram index.
-func (f *goFlow) convergence(d *uml.Diagram, heads []string) uml.Node {
-	if f.flowIdx == nil {
-		f.flowIdx = map[*uml.Diagram]*uml.FlowIndex{}
-	}
-	ix, ok := f.flowIdx[d]
-	if !ok {
-		ix = uml.NewFlowIndex(d)
-		f.flowIdx[d] = ix
-	}
-	return ix.Convergence(heads)
 }
 
 func (f *goFlow) line(format string, args ...interface{}) {
 	f.w.line(strings.Repeat("\t", f.indent)+format, args...)
 }
 
-func (f *goFlow) emitDiagram(d *uml.Diagram) error {
-	for _, name := range f.active {
-		if name == d.Name() {
-			return fmt.Errorf("gogen: cyclic activity nesting through diagram %q", d.Name())
-		}
-	}
-	f.active = append(f.active, d.Name())
-	defer func() { f.active = f.active[:len(f.active)-1] }()
+// emitDiagram emits a whole diagram, from its initial node to its finals.
+func (f *goFlow) emitDiagram(d *uml.Diagram) error { return f.flows.WalkRegions(d, f) }
 
-	ini := d.Initial()
-	if ini == nil {
-		if len(d.Nodes()) == 0 {
-			return nil
-		}
-		return fmt.Errorf("gogen: diagram %q has no initial node", d.Name())
+// Element emits an action, activity or loop node.
+func (f *goFlow) Element(n uml.Node) error {
+	switch n := n.(type) {
+	case *uml.ActivityNode:
+		return f.emitActivity(n)
+	case *uml.LoopNode:
+		return f.emitLoop(n)
 	}
-	start, err := f.successor(d, ini)
-	if err != nil {
-		return err
-	}
-	return f.emitSeq(d, start, nil, map[string]bool{})
+	return f.emitAction(n.(*uml.ActionNode))
 }
 
-func (f *goFlow) emitSeq(d *uml.Diagram, cur uml.Node, stop uml.Node, onPath map[string]bool) error {
-	for cur != nil {
-		if stop != nil && cur.ID() == stop.ID() {
-			return nil
-		}
-		if onPath[cur.ID()] {
-			return fmt.Errorf("gogen: diagram %q: unstructured cycle through node %q", d.Name(), cur.Name())
-		}
-		onPath[cur.ID()] = true
-
-		var err error
-		switch n := cur.(type) {
-		case *uml.ControlNode:
-			switch n.Kind() {
-			case uml.KindFinal:
-				return nil
-			case uml.KindMerge, uml.KindJoin:
-				cur, err = f.successor(d, n)
-			case uml.KindDecision:
-				cur, err = f.emitDecision(d, n, onPath)
-			case uml.KindFork:
-				cur, err = f.emitFork(d, n, onPath)
-			default:
-				return fmt.Errorf("gogen: diagram %q: unexpected %v mid-flow", d.Name(), n.Kind())
-			}
-		case *uml.ActionNode:
-			if err := f.emitAction(n); err != nil {
-				return err
-			}
-			cur, err = f.successor(d, n)
-		case *uml.ActivityNode:
-			if err := f.emitActivity(n); err != nil {
-				return err
-			}
-			cur, err = f.successor(d, n)
-		case *uml.LoopNode:
-			if err := f.emitLoop(n); err != nil {
-				return err
-			}
-			cur, err = f.successor(d, n)
-		default:
-			return fmt.Errorf("gogen: unknown node type %T", cur)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (f *goFlow) successor(d *uml.Diagram, n uml.Node) (uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	switch len(out) {
-	case 0:
-		return nil, nil
-	case 1:
-		next := d.Node(out[0].To())
-		if next == nil {
-			return nil, fmt.Errorf("gogen: diagram %q: dangling edge from %q", d.Name(), n.Name())
-		}
-		return next, nil
-	}
-	return nil, fmt.Errorf("gogen: diagram %q: %v %q has %d successors", d.Name(), n.Kind(), n.Name(), len(out))
-}
+// Defect words a structural flow defect.
+func (f *goFlow) Defect(def uml.Defect) error { return fmt.Errorf("gogen: %v", def) }
 
 func (f *goFlow) emitAction(n *uml.ActionNode) error {
-	renderTag := func(tag string) (string, error) {
-		raw, ok := n.Tag(tag)
-		if !ok {
-			return "0", nil
-		}
-		return renderGo(raw)
-	}
 	switch n.Stereotype() {
 	case "":
 		return nil
 	case profile.ActionPlus, profile.OMPCritical:
 		f.line("%s()", funcName(n.Name()))
-	case profile.MPISend:
-		dest, err := renderTag(profile.TagDest)
-		if err != nil {
-			return fmt.Errorf("gogen: %q dest: %w", n.Name(), err)
-		}
-		size, err := renderTag(profile.TagSize)
-		if err != nil {
-			return fmt.Errorf("gogen: %q size: %w", n.Name(), err)
-		}
-		f.line("mpiSend(%s, %s)", dest, size)
-	case profile.MPIRecv:
-		src, err := renderTag(profile.TagSrc)
-		if err != nil {
-			return fmt.Errorf("gogen: %q src: %w", n.Name(), err)
-		}
-		f.line("mpiRecv(%s)", src)
-	case profile.MPISendrecv:
-		dest, err := renderTag(profile.TagDest)
-		if err != nil {
-			return fmt.Errorf("gogen: %q dest: %w", n.Name(), err)
-		}
-		src, err := renderTag(profile.TagSrc)
-		if err != nil {
-			return fmt.Errorf("gogen: %q src: %w", n.Name(), err)
-		}
-		size, err := renderTag(profile.TagSize)
-		if err != nil {
-			return fmt.Errorf("gogen: %q size: %w", n.Name(), err)
-		}
-		f.line("mpiSendrecv(%s, %s, %s)", dest, src, size)
-	case profile.MPIBarrier:
-		f.line("mpiBarrier()")
-	case profile.MPIBroadcast:
-		root, err := renderTag(profile.TagRoot)
-		if err != nil {
-			return err
-		}
-		size, err := renderTag(profile.TagSize)
-		if err != nil {
-			return err
-		}
-		f.line("mpiBcast(%s, %s)", root, size)
-	case profile.MPIReduce:
-		root, err := renderTag(profile.TagRoot)
-		if err != nil {
-			return err
-		}
-		size, err := renderTag(profile.TagSize)
-		if err != nil {
-			return err
-		}
-		f.line("mpiReduce(%s, %s)", root, size)
-	default:
+		return nil
+	}
+	shim, ok := goShims[n.Stereotype()]
+	if !ok {
 		return fmt.Errorf("gogen: element %q: unsupported stereotype <<%s>>", n.Name(), n.Stereotype())
 	}
+	args := make([]string, len(shim.tags))
+	for i, tag := range shim.tags {
+		args[i] = "0" // an unset tag passes 0
+		if raw, ok := n.Tag(tag); ok {
+			s, err := renderGo(raw)
+			if err != nil {
+				return fmt.Errorf("gogen: %q %s: %w", n.Name(), tag, err)
+			}
+			args[i] = s
+		}
+	}
+	f.line("%s(%s)", shim.fn, strings.Join(args, ", "))
 	return nil
+}
+
+// goShims maps each communication stereotype to the runtime shim its
+// elements call and the tagged values they pass to it, in order.
+var goShims = map[string]struct {
+	fn   string
+	tags []string
+}{
+	profile.MPISend:      {"mpiSend", []string{profile.TagDest, profile.TagSize}},
+	profile.MPIRecv:      {"mpiRecv", []string{profile.TagSrc}},
+	profile.MPISendrecv:  {"mpiSendrecv", []string{profile.TagDest, profile.TagSrc, profile.TagSize}},
+	profile.MPIBarrier:   {"mpiBarrier", nil},
+	profile.MPIBroadcast: {"mpiBcast", []string{profile.TagRoot, profile.TagSize}},
+	profile.MPIReduce:    {"mpiReduce", []string{profile.TagRoot, profile.TagSize}},
 }
 
 func (f *goFlow) emitActivity(n *uml.ActivityNode) error {
@@ -262,152 +144,75 @@ func (f *goFlow) emitLoop(n *uml.LoopNode) error {
 	return nil
 }
 
-func (f *goFlow) emitDecision(d *uml.Diagram, n *uml.ControlNode, onPath map[string]bool) (uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	if len(out) > 0 && out[0].Guard == "" && out[0].Weight > 0 {
-		return f.emitWeightedDecision(d, n, out, onPath)
+// Decision renders a guarded decision as an if/else-if chain and a
+// weighted one as a switch over prophetRand(). Of several else arms the
+// last one wins.
+func (f *goFlow) Decision(n uml.Node, dec *uml.Decision, arm func(*uml.Edge) error) error {
+	if dec.Defect != uml.DefectNone {
+		return f.Defect(uml.Defect{Kind: dec.Defect, Diagram: n.Diagram(), Node: n})
 	}
-	var guarded []*uml.Edge
-	var elseEdge *uml.Edge
-	for _, e := range out {
-		if e.IsElse() {
-			elseEdge = e
-			continue
-		}
-		if e.Guard == "" {
-			return nil, fmt.Errorf("gogen: diagram %q: unguarded branch out of decision", d.Name())
-		}
-		guarded = append(guarded, e)
-	}
-	if len(guarded) == 0 {
-		return nil, fmt.Errorf("gogen: diagram %q: decision %q needs at least one guarded branch", d.Name(), n.Name())
-	}
-	heads := make([]string, len(out))
-	for i, e := range out {
-		heads[i] = e.To()
-	}
-	conv := f.convergence(d, heads)
-
-	emitBranch := func(head string) error {
-		node := d.Node(head)
-		if node == nil {
-			return fmt.Errorf("gogen: diagram %q: dangling branch edge", d.Name())
-		}
+	branch := func(e *uml.Edge) error {
 		f.indent++
-		branchPath := make(map[string]bool, len(onPath))
-		for id := range onPath {
-			branchPath[id] = true
-		}
-		err := f.emitSeq(d, node, conv, branchPath)
-		f.indent--
-		return err
+		defer func() { f.indent-- }()
+		return arm(e)
 	}
-
-	for i, e := range guarded {
+	if dec.Weighted {
+		f.line("switch pmpR := prophetRand() * %g; { // weighted branch", dec.Total)
+		acc := 0.0
+		for i, e := range dec.Arms {
+			acc += e.Weight
+			if i == len(dec.Arms)-1 {
+				f.line("default:")
+			} else {
+				f.line("case pmpR < %g:", acc)
+			}
+			if err := branch(e); err != nil {
+				return err
+			}
+		}
+		f.line("}")
+		return nil
+	}
+	for i, e := range dec.Arms {
 		guard, err := renderGo(e.Guard)
 		if err != nil {
-			return nil, fmt.Errorf("gogen: guard %q: %w", e.Guard, err)
+			return fmt.Errorf("gogen: guard %q: %w", e.Guard, err)
 		}
 		if i == 0 {
 			f.line("if %s {", guard)
 		} else {
 			f.line("} else if %s {", guard)
 		}
-		if err := emitBranch(e.To()); err != nil {
-			return nil, err
+		if err := branch(e); err != nil {
+			return err
 		}
 	}
-	if elseEdge != nil {
+	if len(dec.Else) > 0 {
 		f.line("} else {")
-		if err := emitBranch(elseEdge.To()); err != nil {
-			return nil, err
+		if err := branch(dec.Else[len(dec.Else)-1]); err != nil {
+			return err
 		}
 	}
 	f.line("}")
-	return conv, nil
+	return nil
 }
 
-// emitWeightedDecision renders a probabilistic branch over prophetRand().
-func (f *goFlow) emitWeightedDecision(d *uml.Diagram, n *uml.ControlNode, out []*uml.Edge, onPath map[string]bool) (uml.Node, error) {
-	var total float64
-	for _, e := range out {
-		if e.Guard != "" || e.Weight <= 0 {
-			return nil, fmt.Errorf("gogen: diagram %q: decision %q mixes weighted and guarded branches",
-				d.Name(), n.Name())
-		}
-		total += e.Weight
-	}
-	heads := make([]string, len(out))
-	for i, e := range out {
-		heads[i] = e.To()
-	}
-	conv := f.convergence(d, heads)
-	emitBranch := func(head string) error {
-		node := d.Node(head)
-		if node == nil {
-			return fmt.Errorf("gogen: diagram %q: dangling branch edge", d.Name())
-		}
-		f.indent++
-		branchPath := make(map[string]bool, len(onPath))
-		for id := range onPath {
-			branchPath[id] = true
-		}
-		err := f.emitSeq(d, node, conv, branchPath)
-		f.indent--
-		return err
-	}
-	f.line("switch pmpR := prophetRand() * %g; { // weighted branch", total)
-	acc := 0.0
-	for i, e := range out {
-		acc += e.Weight
-		if i == len(out)-1 {
-			f.line("default:")
-		} else {
-			f.line("case pmpR < %g:", acc)
-		}
-		if err := emitBranch(e.To()); err != nil {
-			return nil, err
-		}
-	}
-	f.line("}")
-	return conv, nil
-}
-
-func (f *goFlow) emitFork(d *uml.Diagram, n *uml.ControlNode, onPath map[string]bool) (uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	if len(out) < 2 {
-		return nil, fmt.Errorf("gogen: diagram %q: fork %q has %d branch(es)", d.Name(), n.Name(), len(out))
-	}
-	heads := make([]string, len(out))
-	for i, e := range out {
-		heads[i] = e.To()
-	}
-	conv := f.convergence(d, heads)
+// Fork runs each branch in a goroutine and waits for all of them.
+func (f *goFlow) Fork(n uml.Node, heads []uml.Node, branch func(uml.Node) error) error {
 	f.wgSeq++
 	wg := fmt.Sprintf("wg%d", f.wgSeq)
 	f.line("var %s sync.WaitGroup // fork", wg)
-	for _, e := range out {
-		node := d.Node(e.To())
-		if node == nil {
-			return nil, fmt.Errorf("gogen: diagram %q: dangling fork edge", d.Name())
-		}
+	for _, h := range heads {
 		f.line("%s.Add(1)", wg)
 		f.line("go func() {")
 		f.indent++
 		f.line("defer %s.Done()", wg)
-		branchPath := make(map[string]bool, len(onPath))
-		for id := range onPath {
-			branchPath[id] = true
-		}
-		if err := f.emitSeq(d, node, conv, branchPath); err != nil {
-			return nil, err
+		if err := branch(h); err != nil {
+			return err
 		}
 		f.indent--
 		f.line("}()")
 	}
 	f.line("%s.Wait() // join", wg)
-	if conv != nil && conv.Kind() == uml.KindJoin {
-		return f.successor(d, conv)
-	}
-	return conv, nil
+	return nil
 }

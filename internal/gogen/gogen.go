@@ -83,9 +83,7 @@ func (g *Generator) Generate(m *uml.Model) (string, error) {
 		return "", err
 	}
 	g.emitRuntimeShims(gw)
-	if err := g.emitBlockFuncs(gw, m, sel.Selected); err != nil {
-		return "", err
-	}
+	g.emitBlockFuncs(gw, sel.Selected)
 	if g.opts.EmitMain {
 		if err := g.emitMain(gw, m); err != nil {
 			return "", err
@@ -191,7 +189,7 @@ func (g *Generator) emitRuntimeShims(gw *goWriter) {
 }
 
 // emitBlockFuncs writes one function per action-like performance element.
-func (g *Generator) emitBlockFuncs(gw *goWriter, m *uml.Model, perf []uml.Element) error {
+func (g *Generator) emitBlockFuncs(gw *goWriter, perf []uml.Element) {
 	for _, e := range perf {
 		a, ok := e.(*uml.ActionNode)
 		if !ok {
@@ -216,16 +214,14 @@ func (g *Generator) emitBlockFuncs(gw *goWriter, m *uml.Model, perf []uml.Elemen
 		gw.line("}")
 		gw.blank()
 	}
-	return nil
 }
 
 func (g *Generator) emitMain(gw *goWriter, m *uml.Model) error {
 	gw.line("func main() {")
 	gw.line("\tuid, pid, tid = 0, 0, 0")
 	gw.line("\t_, _, _ = uid, pid, tid")
-	main := m.Main()
-	if main != nil {
-		f := &goFlow{gen: g, model: m, w: gw, indent: 1}
+	if main := m.Main(); main != nil {
+		f := &goFlow{model: m, w: gw, indent: 1}
 		if err := f.emitDiagram(main); err != nil {
 			return err
 		}
@@ -271,8 +267,7 @@ func renderGo(src string) (string, error) {
 func renderGoNode(n expr.Node) (string, error) {
 	switch x := n.(type) {
 	case *expr.Num:
-		s := strconv.FormatFloat(x.Value, 'g', -1, 64)
-		return s, nil
+		return strconv.FormatFloat(x.Value, 'g', -1, 64), nil
 	case *expr.Var:
 		return x.Name, nil
 	case *expr.Call:
@@ -286,48 +281,12 @@ func renderGoNode(n expr.Node) (string, error) {
 		}
 		name := x.Name
 		switch name {
-		case "pow":
-			name = "math.Pow"
-		case "sqrt":
-			name = "math.Sqrt"
-		case "log":
-			name = "math.Log"
-		case "log2":
-			name = "math.Log2"
-		case "log10":
-			name = "math.Log10"
-		case "exp":
-			name = "math.Exp"
-		case "abs":
-			name = "math.Abs"
-		case "floor":
-			name = "math.Floor"
-		case "ceil":
-			name = "math.Ceil"
-		case "round":
-			name = "math.Round"
-		case "min":
-			name = "math.Min"
-		case "max":
-			name = "math.Max"
-		case "sin":
-			name = "math.Sin"
-		case "cos":
-			name = "math.Cos"
-		case "tan":
-			name = "math.Tan"
-		case "cbrt":
-			name = "math.Cbrt"
+		case "pow", "sqrt", "log", "log2", "log10", "exp", "abs", "floor", "ceil",
+			"round", "min", "max", "sin", "cos", "tan", "cbrt":
+			name = "math." + strings.ToUpper(name[:1]) + name[1:]
 		}
 		return name + "(" + strings.Join(args, ", ") + ")", nil
 	case *expr.Unary:
-		if x.Op == "!" {
-			inner, err := renderGoOperand(x.X)
-			if err != nil {
-				return "", err
-			}
-			return "!" + inner, nil
-		}
 		inner, err := renderGoOperand(x.X)
 		if err != nil {
 			return "", err

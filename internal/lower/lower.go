@@ -53,6 +53,19 @@ const (
 	actReduce
 )
 
+// actKinds maps each supported action stereotype to its actKind.
+var actKinds = map[string]actKind{
+	"":                   actPlain,
+	profile.ActionPlus:   actCompute,
+	profile.OMPCritical:  actCritical,
+	profile.MPISend:      actSend,
+	profile.MPIRecv:      actRecv,
+	profile.MPISendrecv:  actSendrecv,
+	profile.MPIBarrier:   actBarrier,
+	profile.MPIBroadcast: actBroadcast,
+	profile.MPIReduce:    actReduce,
+}
+
 // assignKind classifies a code-fragment assignment target.
 type assignKind uint8
 
@@ -200,22 +213,8 @@ type lowerer struct {
 	// resolvedDist is the same memo for distribution literals.
 	resolvedDist map[*expr.Dist]*expr.SlotDist
 
-	// flowIdx caches one dense flow index per diagram for fork
-	// convergence queries (see uml.FlowIndex).
-	flowIdx map[*uml.Diagram]*uml.FlowIndex
-}
-
-// convergence answers a convergence query through the per-diagram index.
-func (l *lowerer) convergence(d *uml.Diagram, heads []string) uml.Node {
-	if l.flowIdx == nil {
-		l.flowIdx = map[*uml.Diagram]*uml.FlowIndex{}
-	}
-	ix, ok := l.flowIdx[d]
-	if !ok {
-		ix = uml.NewFlowIndex(d)
-		l.flowIdx[d] = ix
-	}
-	return ix.Convergence(heads)
+	// flows holds each diagram's derived flow structure.
+	flows uml.Flows
 }
 
 // regionKey memoizes fork-branch segments so cyclic flows that re-reach a
@@ -233,9 +232,9 @@ type regionKey struct {
 func Lower(pr *interp.Program) *Program {
 	parts := pr.Parts()
 	l := &lowerer{
-		parts:    parts,
-		lay:      buildLayout(parts),
-		prog:     &Program{parts: parts},
+		parts:        parts,
+		lay:          buildLayout(parts),
+		prog:         &Program{parts: parts},
 		diagSeg:      map[string]int{},
 		regions:      map[regionKey]int{},
 		resolved:     map[*expr.Compiled]*expr.Slotted{},
@@ -417,22 +416,14 @@ func (l *lowerer) lowerCode(nodeID string) []assign {
 
 // lowerDiagram flattens a whole diagram with runDiagram semantics.
 func (l *lowerer) lowerDiagram(d *uml.Diagram) segment {
-	ini := d.Initial()
-	if ini == nil {
-		if len(d.Nodes()) == 0 {
-			return segment{entry: -1}
-		}
-		b := &segBuilder{l: l, d: d, pcs: map[string]int{}}
-		return segment{
-			entry: b.errOp(fmt.Errorf("lower: diagram %q has no initial node", d.Name())),
-			ops:   b.ops,
-		}
-	}
-	b := &segBuilder{l: l, d: d,
+	b := &segBuilder{l: l, d: d, v: l.flows.View(d),
 		pcs: make(map[string]int, len(d.Nodes())),
 		ops: make([]op, 0, len(d.Nodes()))}
-	entry := b.succPC(ini)
-	return segment{entry: entry, ops: b.ops}
+	start, def := b.v.Start()
+	if def != nil {
+		return segment{entry: b.errOp(flowError(*def)), ops: b.ops}
+	}
+	return segment{entry: b.pcFor(start), ops: b.ops}
 }
 
 // lowerRegion flattens a fork branch: from head up to (exclusive) stop.
@@ -446,16 +437,20 @@ func (l *lowerer) lowerRegion(d *uml.Diagram, head uml.Node, stop string) int {
 	l.regions[key] = idx
 	// Branch regions are typically a handful of nodes; do not pre-size to
 	// the diagram, it would multiply across every fork branch.
-	b := &segBuilder{l: l, d: d, stop: stop, pcs: map[string]int{}}
+	b := &segBuilder{l: l, d: d, v: l.flows.View(d), stop: stop, pcs: map[string]int{}}
 	entry := b.pcFor(head)
 	l.prog.segs[idx] = segment{entry: entry, ops: b.ops}
 	return idx
 }
 
+// flowError words a structural flow defect the way the interpreter does.
+func flowError(def uml.Defect) error { return fmt.Errorf("lower: %v", def) }
+
 // segBuilder linearizes one region of one diagram.
 type segBuilder struct {
 	l    *lowerer
 	d    *uml.Diagram
+	v    *uml.FlowView
 	stop string // node ID execution halts at ("" = none)
 	pcs  map[string]int
 	ops  []op
@@ -500,57 +495,44 @@ func (b *segBuilder) pcFor(n uml.Node) int {
 		}
 		return pc
 	}
-	switch x := n.(type) {
-	case *uml.ControlNode:
-		switch x.Kind() {
-		case uml.KindFinal:
-			return -1
-		case uml.KindMerge, uml.KindJoin:
-			// Pure pass-through: flattened away entirely when acyclic.
-			b.pcs[x.ID()] = inProgress
-			pc := b.succPC(x)
-			if slot := b.pcs[x.ID()]; slot != inProgress {
-				// A cycle reserved a jump slot for this node while its
-				// successor lowered; close the loop through it.
-				b.ops[slot] = op{kind: opNop, next: pc}
-				return pc
-			}
-			b.pcs[x.ID()] = pc
+	switch n.Kind() {
+	case uml.KindFinal:
+		return -1
+	case uml.KindMerge, uml.KindJoin:
+		// Pure pass-through: flattened away entirely when acyclic.
+		b.pcs[n.ID()] = inProgress
+		pc := b.succPC(n)
+		if slot := b.pcs[n.ID()]; slot != inProgress {
+			// A cycle reserved a jump slot for this node while its
+			// successor lowered; close the loop through it.
+			b.ops[slot] = op{kind: opNop, next: pc}
 			return pc
-		case uml.KindDecision:
-			return b.lowerDecision(x)
-		case uml.KindFork:
-			return b.lowerFork(x)
-		default:
-			return b.errOp(fmt.Errorf("lower: diagram %q: unexpected %v mid-flow", b.d.Name(), x.Kind()))
 		}
-	case *uml.ActionNode:
-		return b.lowerAction(x)
-	case *uml.ActivityNode:
-		return b.lowerActivity(x)
-	case *uml.LoopNode:
-		return b.lowerLoop(x)
+		b.pcs[n.ID()] = pc
+		return pc
+	case uml.KindDecision:
+		return b.lowerDecision(n)
+	case uml.KindFork:
+		return b.lowerFork(n)
+	case uml.KindAction:
+		return b.lowerAction(n.(*uml.ActionNode))
+	case uml.KindActivity:
+		return b.lowerActivity(n.(*uml.ActivityNode))
+	case uml.KindLoop:
+		return b.lowerLoop(n.(*uml.LoopNode))
 	}
-	return b.errOp(fmt.Errorf("lower: unknown node type %T", n))
+	return b.errOp(flowError(*b.v.Defect(uml.DefectControl, n)))
 }
 
 // succPC resolves a node's single successor with the interpreter's
 // successor() rules: none ends the flow, a dangling or ambiguous edge is
 // an error.
 func (b *segBuilder) succPC(n uml.Node) int {
-	out := b.d.Outgoing(n.ID())
-	switch len(out) {
-	case 0:
-		return -1
-	case 1:
-		next := b.d.Node(out[0].To())
-		if next == nil {
-			return b.errOp(fmt.Errorf("lower: diagram %q: dangling edge from %q", b.d.Name(), n.Name()))
-		}
-		return b.pcFor(next)
+	next, def := b.v.Successor(n)
+	if def != nil {
+		return b.errOp(flowError(*def))
 	}
-	return b.errOp(fmt.Errorf("lower: diagram %q: %v %q has %d successors",
-		b.d.Name(), n.Kind(), n.Name(), len(out)))
+	return b.pcFor(next)
 }
 
 // branchTarget resolves a decision edge's target: a dangling target
@@ -559,21 +541,16 @@ func (b *segBuilder) branchTarget(e *uml.Edge) int {
 	return b.pcFor(b.d.Node(e.To()))
 }
 
-func (b *segBuilder) lowerDecision(n *uml.ControlNode) int {
-	out := b.d.Outgoing(n.ID())
+func (b *segBuilder) lowerDecision(n uml.Node) int {
+	dec := b.v.Decision(n)
 	pc := b.reserve(n.ID())
-	if len(out) > 0 && out[0].Guard == "" && out[0].Weight > 0 {
-		o := op{kind: opWeighted, id: n.ID(), name: n.Name(), next: -1}
-		for _, e := range out {
-			if e.Guard != "" || e.Weight <= 0 {
-				b.ops[pc] = op{kind: opError, next: -1, err: fmt.Errorf(
-					"lower: diagram %q: decision %q mixes weighted and guarded branches",
-					b.d.Name(), n.Name())}
-				return pc
-			}
-			o.total += e.Weight
-		}
-		for _, e := range out {
+	if dec.Defect == uml.DefectMixedArms {
+		b.ops[pc] = op{kind: opError, next: -1, err: flowError(*b.v.Defect(dec.Defect, n))}
+		return pc
+	}
+	if dec.Weighted {
+		o := op{kind: opWeighted, id: n.ID(), name: n.Name(), next: -1, total: dec.Total}
+		for _, e := range dec.Arms {
 			o.weights = append(o.weights, e.Weight)
 			o.targets = append(o.targets, b.branchTarget(e))
 		}
@@ -583,65 +560,55 @@ func (b *segBuilder) lowerDecision(n *uml.ControlNode) int {
 	o := op{kind: opBranch, id: n.ID(), name: n.Name(), next: -1, elsePC: -1}
 	o.noMatch = fmt.Errorf("lower: diagram %q: no guard of decision %q is true and there is no else branch",
 		b.d.Name(), n.Name())
-	for _, e := range out {
-		if e.IsElse() {
-			// The interpreter keeps the last else edge it sees.
-			o.elsePC = b.branchTarget(e)
-			o.hasElse = true
-			continue
-		}
-		g, ok := b.l.parts.Guards[e.ID()]
-		if !ok {
-			o.arms = append(o.arms, guardArm{err: fmt.Errorf(
-				"lower: diagram %q: unguarded branch out of decision", b.d.Name())})
-			continue
-		}
+	for _, e := range dec.Arms {
 		o.arms = append(o.arms, guardArm{
-			guard:  b.l.resolve(g),
+			guard:  b.l.resolve(b.l.parts.Guards[e.ID()]),
 			src:    e.Guard,
 			target: b.branchTarget(e),
 		})
+	}
+	switch {
+	case dec.Defect == uml.DefectUnguardedArm:
+		// Fires only when every guard before it is false.
+		o.arms = append(o.arms, guardArm{err: flowError(*b.v.Defect(dec.Defect, n))})
+	case len(dec.Else) > 0:
+		// The interpreter keeps the last else edge it sees.
+		o.elsePC = b.branchTarget(dec.Else[len(dec.Else)-1])
+		o.hasElse = true
 	}
 	b.ops[pc] = o
 	return pc
 }
 
-func (b *segBuilder) lowerFork(n *uml.ControlNode) int {
-	out := b.d.Outgoing(n.ID())
+func (b *segBuilder) lowerFork(n uml.Node) int {
+	heads, def := b.v.Fork(n)
 	pc := b.reserve(n.ID())
-	if len(out) < 2 {
-		b.ops[pc] = op{kind: opError, next: -1, err: fmt.Errorf(
-			"lower: diagram %q: fork %q has %d branch(es)", b.d.Name(), n.Name(), len(out))}
+	if def != nil && def.Kind == uml.DefectForkBranches {
+		b.ops[pc] = op{kind: opError, next: -1, err: flowError(*def)}
 		return pc
 	}
-	heads := make([]string, len(out))
-	for i, e := range out {
-		heads[i] = e.To()
-	}
-	conv := b.l.convergence(b.d, heads)
+	conv := b.v.Convergence(n)
 	stop := ""
 	if conv != nil {
 		stop = conv.ID()
 	}
-	o := op{kind: opFork, id: n.ID(), name: n.Name(), forkTotal: len(out), next: -1}
-	for _, e := range out {
-		head := b.d.Node(e.To())
-		if head == nil {
-			// The interpreter spawns the earlier branches, then fails
-			// without waiting on the join.
-			o.err = fmt.Errorf("lower: diagram %q: dangling fork edge", b.d.Name())
-			break
-		}
-		o.branches = append(o.branches, b.l.lowerRegion(b.d, head, stop))
+	o := op{kind: opFork, id: n.ID(), name: n.Name(), forkTotal: len(b.d.Outgoing(n.ID())), next: -1}
+	for _, h := range heads {
+		o.branches = append(o.branches, b.l.lowerRegion(b.d, h, stop))
+	}
+	if def != nil {
+		// The interpreter spawns the earlier branches, then fails
+		// without waiting on the join.
+		o.err = flowError(*def)
 	}
 	b.ops[pc] = o
 	if o.err == nil {
-		// Continuation after the branches rejoin: past the join node, or
-		// at the convergence node itself when it is executable.
-		if conv != nil && conv.Kind() == uml.KindJoin {
-			b.ops[pc].next = b.succPC(conv)
-		} else if conv != nil {
-			b.ops[pc].next = b.pcFor(conv)
+		// Continuation after the branches rejoin.
+		next, def := b.v.After(n)
+		if def != nil {
+			b.ops[pc].next = b.errOp(flowError(*def))
+		} else {
+			b.ops[pc].next = b.pcFor(next)
 		}
 	}
 	return pc
@@ -650,34 +617,17 @@ func (b *segBuilder) lowerFork(n *uml.ControlNode) int {
 func (b *segBuilder) lowerAction(n *uml.ActionNode) int {
 	pc := b.reserve(n.ID())
 	o := op{kind: opAction, id: n.ID(), name: n.Name(), next: -1}
-	switch st := n.Stereotype(); st {
-	case "":
-		o.act = actPlain
-	case profile.ActionPlus:
-		o.act = actCompute
-	case profile.OMPCritical:
-		o.act = actCritical
-	case profile.MPISend:
-		o.act = actSend
-	case profile.MPIRecv:
-		o.act = actRecv
-	case profile.MPISendrecv:
-		o.act = actSendrecv
-	case profile.MPIBarrier:
-		o.act = actBarrier
-	case profile.MPIBroadcast:
-		o.act = actBroadcast
-	case profile.MPIReduce:
-		o.act = actReduce
-	default:
+	act, ok := actKinds[n.Stereotype()]
+	if !ok {
 		// Unsupported stereotypes still run their code fragment and emit
 		// Enter before failing, like execAction; since the whole run is
 		// discarded on error, a bare error op preserves observable
 		// behavior.
 		b.ops[pc] = op{kind: opError, next: -1, err: fmt.Errorf(
-			"lower: element %q: unsupported stereotype <<%s>>", n.Name(), st)}
+			"lower: element %q: unsupported stereotype <<%s>>", n.Name(), n.Stereotype())}
 		return pc
 	}
+	o.act = act
 	o.code = b.l.lowerCode(n.ID())
 	o.cost = b.l.resolve(b.l.parts.Costs[n.ID()])
 	o.costDist = b.l.resolveDist(b.l.parts.DistCosts[n.ID()])
@@ -696,18 +646,15 @@ func (b *segBuilder) lowerActivity(n *uml.ActivityNode) int {
 	o.code = b.l.lowerCode(n.ID())
 	o.cost = b.l.resolve(b.l.parts.Costs[n.ID()])
 	o.costDist = b.l.resolveDist(b.l.parts.DistCosts[n.ID()])
+	what := "activity"
 	if n.Stereotype() == profile.OMPParallel {
-		o.kind = opParallel
+		o.kind, what = opParallel, "parallel region"
 		o.count = b.l.resolve(b.l.parts.Tags[n.ID()][profile.TagCount])
-		if idx, ok := b.l.diagSeg[n.Body]; ok && b.l.parts.Model.DiagramByName(n.Body) != nil {
-			o.body = idx
-		} else {
-			o.bodyErr = fmt.Errorf("lower: parallel region %q references unknown diagram %q", n.Name(), n.Body)
-		}
-	} else if idx, ok := b.l.diagSeg[n.Body]; ok && b.l.parts.Model.DiagramByName(n.Body) != nil {
+	}
+	if idx, ok := b.l.diagSeg[n.Body]; ok && b.l.parts.Model.DiagramByName(n.Body) != nil {
 		o.body = idx
 	} else {
-		o.bodyErr = fmt.Errorf("lower: activity %q references unknown diagram %q", n.Name(), n.Body)
+		o.bodyErr = fmt.Errorf("lower: %s %q references unknown diagram %q", what, n.Name(), n.Body)
 	}
 	b.ops[pc] = o
 	b.ops[pc].next = b.succPC(n)

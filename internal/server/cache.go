@@ -183,21 +183,29 @@ func (c *resultCache) do(ctx context.Context, key string, eval func() (*cachedRe
 		f := &flight{done: make(chan struct{})}
 		c.flights[key] = f
 		c.mu.Unlock()
+		return c.lead(key, f, eval)
+	}
+}
 
-		res, storable, err := eval()
-		if err == nil {
-			f.res = res
-			if storable {
-				c.store(key, res)
-			}
-		}
+// lead runs eval as the leader of flight f. The flight is released in a
+// defer: an eval that panics leaves f.res nil, so its waiters wake and
+// retry instead of blocking on the key until their own deadlines.
+func (c *resultCache) lead(key string, f *flight, eval func() (*cachedResult, bool, error)) (*cachedResult, string, error) {
+	defer func() {
 		c.mu.Lock()
 		delete(c.flights, key)
 		c.mu.Unlock()
 		close(f.done)
-		c.outcomes.With(outcomeMiss).Inc()
-		return res, outcomeMiss, err
+	}()
+	res, storable, err := eval()
+	if err == nil {
+		f.res = res
+		if storable {
+			c.store(key, res)
+		}
 	}
+	c.outcomes.With(outcomeMiss).Inc()
+	return res, outcomeMiss, err
 }
 
 // dropRef unregisters a waiter from a flight (which may already be

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -318,5 +320,123 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	}
 	if got := post(max + 1); got != outcomeHit {
 		t.Errorf("recent seed %d: outcome %q, want hit", max+1, got)
+	}
+}
+
+// A leader whose evaluation panics must still release its flight: a
+// waiter coalesced onto it wakes promptly and runs a fresh evaluation of
+// the same key, and the singleflight table ends empty.
+func TestPanickingLeaderReleasesFlight(t *testing.T) {
+	c := newResultCache(8, obs.NewRegistry())
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		_, _, _ = c.do(context.Background(), "k", func() (*cachedResult, bool, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+
+	type result struct {
+		res     *cachedResult
+		outcome string
+		err     error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		res, outcome, err := c.do(context.Background(), "k", func() (*cachedResult, bool, error) {
+			return &cachedResult{status: http.StatusOK, body: []byte("fresh")}, true, nil
+		})
+		waiter <- result{res, outcome, err}
+	}()
+	// Let the waiter coalesce onto the panicking leader's flight.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		refs := c.flights["k"].refs
+		c.mu.Unlock()
+		if refs == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never coalesced onto the leader")
+		}
+	}
+	close(release)
+	if v := <-leaderPanic; v != "boom" {
+		t.Fatalf("leader panic = %v, want boom", v)
+	}
+	select {
+	case r := <-waiter:
+		if r.err != nil || r.outcome != outcomeMiss || string(r.res.body) != "fresh" {
+			t.Errorf("waiter after a panicking leader: %q %q %v, want a fresh miss", r.outcome, r.res.body, r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("waiter stayed blocked on the panicking leader's flight")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.flights) != 0 {
+		t.Errorf("%d flights left after the panic", len(c.flights))
+	}
+}
+
+// An evaluation that panics answers a typed 500 naming the trace id,
+// counts server_panics_total, logs one line, and frees its admission
+// slot and flight, so the next identical request evaluates afresh.
+func TestEvaluationPanicAnswers500(t *testing.T) {
+	reg := obs.NewRegistry()
+	var logs bytes.Buffer
+	s := New(Config{Registry: reg, ResultCache: 64, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	var panicked atomic.Bool
+	s.hookAdmitted = func() {
+		if panicked.CompareAndSwap(false, true) {
+			panic("boom")
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := EstimateRequest{ModelRef: ModelRef{ModelXMI: sampleXMI(t)}, Seed: 7}
+	code, hdr, body := postJSON(t, ts.URL+"/v1/estimate", req)
+	id := hdr.Get("X-Trace-Id")
+	if code != http.StatusInternalServerError || id == "" || !strings.Contains(string(body), id) {
+		t.Fatalf("panicking evaluation: status %d, trace %q, body %s", code, id, body)
+	}
+	if got := reg.Counter("server_panics_total").Value(); got != 1 {
+		t.Errorf("server_panics_total = %d, want 1", got)
+	}
+	for _, g := range []string{"server_inflight", "server_queue_depth"} {
+		if got := reg.Gauge(g).Value(); got != 0 {
+			t.Errorf("%s = %g after the panic, want 0", g, got)
+		}
+	}
+	var panicLines int
+	for _, ln := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(ln, "evaluation panicked") {
+			panicLines++
+			if !strings.Contains(ln, id) || !strings.Contains(ln, "boom") {
+				t.Errorf("panic log line lacks the trace id or the panic: %s", ln)
+			}
+		}
+	}
+	if panicLines != 1 {
+		t.Errorf("%d panic log lines, want 1:\n%s", panicLines, logs.String())
+	}
+
+	start := time.Now()
+	code, hdr, body = postJSON(t, ts.URL+"/v1/estimate", req)
+	if code != http.StatusOK || hdr.Get(resultCacheHeader) != outcomeMiss {
+		t.Fatalf("retry after the panic: status %d, X-Result-Cache %q: %s", code, hdr.Get(resultCacheHeader), body)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("retry after the panic took %v", d)
+	}
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	if len(s.cache.flights) != 0 {
+		t.Errorf("%d flights left after the panic", len(s.cache.flights))
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -143,6 +144,7 @@ type Server struct {
 	// requests/latency instrument every route.
 	requests *obs.CounterVec
 	latency  *obs.HistogramVec
+	panics   *obs.Counter // server_panics_total
 
 	// hookAdmitted, when non-nil, runs after a request is admitted and
 	// before it evaluates — a test seam for holding a slot open.
@@ -173,6 +175,7 @@ func New(cfg Config) *Server {
 	s.requests = s.reg.CounterVec("http_requests_total", "route", "code")
 	s.latency = s.reg.HistogramVec("http_request_seconds",
 		[]float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10, 60}, "route")
+	s.panics = s.reg.Counter("server_panics_total")
 	// Materialize every shed-reason series at 0 so dashboards and the
 	// smoke harness see the counters before the first rejection.
 	for _, reason := range []string{"queue_full", "queue_timeout", "client_gone"} {
@@ -252,11 +255,11 @@ type evalResponse interface {
 // the response — every failure, from saturation to cancellation while
 // queued to evaluation errors, comes back as an error for the caller (or
 // the singleflight leader) to map.
-func (s *Server) runAdmitted(r *http.Request, timeoutMS int64, run func(ctx context.Context) (evalResponse, error)) (evalResponse, error) {
+func (s *Server) runAdmitted(r *http.Request, timeoutMS int64, run func(ctx context.Context) (evalResponse, error)) (resp evalResponse, err error) {
 	// The admission span measures slot wait; a request that never queues
 	// closes it in microseconds, a shed one records why.
 	qs := obs.SpanFromContext(r.Context()).StartChild("admission")
-	err := s.adm.acquire(r.Context())
+	err = s.adm.acquire(r.Context())
 	if err != nil {
 		qs.Annotate("outcome", "shed")
 		qs.Annotate("error", err.Error())
@@ -266,12 +269,36 @@ func (s *Server) runAdmitted(r *http.Request, timeoutMS int64, run func(ctx cont
 		return nil, err
 	}
 	defer s.adm.release()
+	defer func() {
+		if v := recover(); v != nil {
+			resp, err = nil, s.evalPanicked(r, v)
+		}
+	}()
 	if s.hookAdmitted != nil {
 		s.hookAdmitted()
 	}
 	ctx, cancel := s.evalContext(r, timeoutMS)
 	defer cancel()
 	return run(ctx)
+}
+
+// panicError is an evaluation that panicked. It answers 500 and names
+// the request's trace; the panic value and stack go to the log line.
+type panicError struct{ traceID string }
+
+func (e *panicError) Error() string {
+	return fmt.Sprintf("internal error: evaluation panicked (trace_id %s)", e.traceID)
+}
+
+// evalPanicked turns a recovered evaluation panic into a panicError,
+// counting server_panics_total and logging one line with the trace id.
+func (s *Server) evalPanicked(r *http.Request, v any) error {
+	id := obs.SpanFromContext(r.Context()).Trace().ID()
+	s.panics.Inc()
+	s.log.LogAttrs(r.Context(), slog.LevelError, "evaluation panicked",
+		slog.String("trace_id", id), slog.String("panic", fmt.Sprint(v)),
+		slog.String("stack", string(debug.Stack())))
+	return &panicError{traceID: id}
 }
 
 // writeRunError maps an evaluation-path failure to its response:

@@ -198,6 +198,7 @@ func (s *Server) registerHelp() {
 		"server_rejected_total":        "Requests shed by admission control, by reason.",
 		"server_result_cache_total":    "Evaluation requests by result-cache outcome (hit, miss, inflight, bypass).",
 		"server_result_cache_entries":  "Results currently stored in the result cache.",
+		"server_panics_total":          "Evaluations that panicked and were answered 500.",
 		"server_shard_jobs_total":      "Shard sub-jobs dispatched to pool workers, by worker.",
 		"server_shard_errors_total":    "Shard sub-jobs that failed, by worker.",
 		"server_shard_workers":         "Workers configured in the shard pool.",

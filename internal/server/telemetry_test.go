@@ -208,6 +208,12 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		`http_request_seconds_count{route="estimate"} 1`,
 		"# TYPE estimate_stage_seconds histogram",
 		`estimate_stage_seconds_bucket{stage="simulate",le="+Inf"} 1`,
+		// The server compiles through CompileCachedCtx, whose check and
+		// compile stages are recorded too.
+		`estimate_stage_seconds_count{stage="check"} 1`,
+		`estimate_stage_seconds_count{stage="compile"} 1`,
+		"# HELP server_panics_total",
+		"server_panics_total 0",
 		"# HELP server_rejected_total",
 		`server_rejected_total{reason="queue_full"} 0`,
 		`server_rejected_total{reason="queue_timeout"} 0`,

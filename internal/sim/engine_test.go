@@ -210,20 +210,26 @@ func TestRunWithNoEvents(t *testing.T) {
 	}
 }
 
+// lifecycleObserver records every process transition as "name:what".
+type lifecycleObserver struct{ events []string }
+
+func (o *lifecycleObserver) Event(_ float64, p *Process, what string) {
+	o.events = append(o.events, p.Name()+":"+what)
+}
+func (o *lifecycleObserver) Sample(Sample) {}
+
 func TestTracerObservesLifecycle(t *testing.T) {
 	e := New()
-	var events []string
-	e.SetTracer(func(tm float64, p *Process, what string) {
-		events = append(events, fmt.Sprintf("%s:%s", p.Name(), what))
-	})
+	obs := &lifecycleObserver{}
+	e.SetObserver(obs, 0)
 	e.Spawn("p", func(p *Process) { p.Hold(1) })
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(events, ",")
+	joined := strings.Join(obs.events, ",")
 	for _, want := range []string{"p:spawn", "p:run", "p:hold", "p:done"} {
 		if !strings.Contains(joined, want) {
-			t.Errorf("tracer missed %q: %v", want, events)
+			t.Errorf("observer missed %q: %v", want, obs.events)
 		}
 	}
 }

@@ -31,9 +31,8 @@ type Sample struct {
 // events and periodic state samples. Implementations run inside the
 // simulation loop and must not call back into the engine.
 //
-// Observer generalizes the legacy SetTracer callback: Event carries the
-// same (time, process, transition) triples the tracer saw, while Sample
-// adds the time-series view that a single callback could not express.
+// Event carries (time, process, transition) triples, while Sample adds
+// the time-series view of the engine's state.
 type Observer interface {
 	// Event reports one process lifecycle transition: "spawn", "run",
 	// "hold", "block" or "done".
@@ -42,15 +41,6 @@ type Observer interface {
 	// nondecreasing time order.
 	Sample(s Sample)
 }
-
-// tracerAdapter lifts a legacy tracer func into an Observer that ignores
-// samples.
-type tracerAdapter struct {
-	fn func(t float64, p *Process, what string)
-}
-
-func (a tracerAdapter) Event(t float64, p *Process, what string) { a.fn(t, p, what) }
-func (a tracerAdapter) Sample(Sample)                            {}
 
 // SetObserver installs an observer and its sampling interval in simulated
 // time units. An interval of 0 samples whenever simulated time advances

@@ -124,38 +124,6 @@ func TestObserverSamplingInterval(t *testing.T) {
 	}
 }
 
-func TestSetTracerDelegatesToObserverPath(t *testing.T) {
-	e := New()
-	var events []string
-	e.SetTracer(func(tm float64, p *Process, what string) {
-		events = append(events, what)
-	})
-	if e.Observer() == nil {
-		t.Fatal("SetTracer should install an adapter observer")
-	}
-	e.Spawn("p", func(p *Process) { p.Hold(1) })
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("tracer callback saw no events")
-	}
-	e.SetTracer(nil)
-	if e.Observer() != nil {
-		t.Error("SetTracer(nil) should remove the adapter")
-	}
-}
-
-func TestSetTracerNilKeepsForeignObserver(t *testing.T) {
-	e := New()
-	obs := &collectObserver{}
-	e.SetObserver(obs, 0)
-	e.SetTracer(nil)
-	if e.Observer() != obs {
-		t.Error("SetTracer(nil) must not remove an observer it did not install")
-	}
-}
-
 func TestRecorderDecimation(t *testing.T) {
 	r := NewRecorder(16)
 	const n = 10000
