@@ -1,6 +1,7 @@
 package uml_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -209,7 +210,7 @@ func fuzzDiagram(data []byte) *uml.Diagram {
 // errBudget stops a walk whose event log outgrows walkBudget: arms that
 // never converge re-walk what follows them, so a small diagram with
 // repeated arms can have exponentially many paths.
-var errBudget = fmt.Errorf("walk budget exhausted")
+var errBudget = errors.New("walk budget exhausted")
 
 const walkBudget = 2000
 
